@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .builders import FIXTURE_NAMES, builtin_fixture
-from .errors import EvalTypeError, OrdboolError
+from .errors import EvalTypeError, OrdboolError, ParseError
 from .exprs import ProbValue, eval_expr, format_value, parse_expr
 from .measure import MeasureKind, ht_of_set, mu
 from .oracle import Query, Variant, differential_check, law_check, run_query
@@ -38,6 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(status, message or "")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ordbool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,7 +66,7 @@ def _build_parser() -> _Parser:
     probp.add_argument("expr")
     checkp = with_file(sub.add_parser("check", help="run the law suite and the differential oracle"))
     checkp.add_argument("--seed", type=int, default=0)
-    checkp.add_argument("--cases", type=int, default=200)
+    checkp.add_argument("--cases", type=_positive_int, default=200)
     checkp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     with_file(sub.add_parser("dot", help="DOT export of the transitive reduction"))
     fixturep = sub.add_parser("fixture", help="print a built-in fixture")
@@ -65,12 +75,24 @@ def _build_parser() -> _Parser:
 
 
 def _load(file_arg: str, stdin_text: str | None) -> Poset:
-    if file_arg == "-":
-        text = stdin_text if stdin_text is not None else sys.stdin.read()
+    if file_arg == "-" and stdin_text is not None:
+        text = stdin_text
+    elif file_arg == "-":
+        text = _decode(sys.stdin.buffer.read(), "stdin")
     else:
-        with open(file_arg, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(file_arg, "rb") as handle:
+            text = _decode(handle.read(), file_arg)
     return parse_poset_text(text).build()
+
+
+def _decode(data: bytes, source: str) -> str:
+    """UTF-8 text of a poset file; a bad byte is a ParseError at its position."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{source} is not UTF-8 text ({exc.reason})", line, column) from None
 
 
 def _faulty_run_query(p: Poset, q: Query) -> object:

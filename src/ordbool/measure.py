@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DegenerateConditional, EmptyInput
-from .ops import Variant, neg_set, set_meet
-from .poset import ElemSet, Poset, member_set
+from .poset import Poset
 from .signed import SignedSet, signed_height
 
 Rational = Fraction
@@ -28,10 +27,10 @@ class MeasureKind(Enum):
 
 def ht_of_set(p: Poset, members: Iterable[str]) -> int:
     """Maximal element height within a nonempty set."""
-    X = member_set(p, members)
+    X = p.mask_of(members)
     if not X:
         raise EmptyInput("height of the empty set")
-    return max(p.height_of[x] for x in X)
+    return max(p.heights_in(X))
 
 
 def prob_max(p: Poset, members: Iterable[str]) -> Fraction:
@@ -41,13 +40,12 @@ def prob_max(p: Poset, members: Iterable[str]) -> Fraction:
 
 def mu(p: Poset, members: Iterable[str]) -> int:
     """Summed heights of the members; zero on the empty set."""
-    X = member_set(p, members)
-    return sum(p.height_of[x] for x in X)
+    return sum(p.heights_in(p.mask_of(members)))
 
 
 def prob_sum(p: Poset, members: Iterable[str]) -> Fraction:
     """Summed-height measure of the set relative to the whole poset."""
-    return Fraction(mu(p, members), mu(p, p.ground))
+    return Fraction(mu(p, members), sum(p.height_of.values()))
 
 
 def prob_signed(p: Poset, s: SignedSet) -> Fraction:
@@ -59,19 +57,22 @@ def prob_signed(p: Poset, s: SignedSet) -> Fraction:
     return Fraction(signed_height(p, s), p.height_of[p.top])
 
 
-def _prob(p: Poset, X: ElemSet, kind: MeasureKind) -> Fraction:
+def _prob(p: Poset, X: int, kind: MeasureKind) -> Fraction:
+    """Probability of a nonempty mask."""
+    heights = p.heights_in(X)
     if kind is MeasureKind.MAX_HEIGHT:
-        return prob_max(p, X)
-    return prob_sum(p, X)
+        return Fraction(max(heights), p.height_of[p.top])
+    return Fraction(sum(heights), sum(p.height_of.values()))
 
 
 def indep_product(p: Poset, a: Iterable[str], b: Iterable[str], kind: MeasureKind) -> bool:
     """Product rule: P(A meet B) equals P(A) * P(B), compared exactly."""
-    A = member_set(p, a)
-    B = member_set(p, b)
+    A = p.mask_of(a)
+    B = p.mask_of(b)
     if not A or not B:
         raise EmptyInput("independence needs nonempty sets")
-    return _prob(p, set_meet(p, A, B, Variant.RAW), kind) == _prob(p, A, kind) * _prob(p, B, kind)
+    both = p.down_closure(A) & p.down_closure(B)
+    return _prob(p, both, kind) == _prob(p, A, kind) * _prob(p, B, kind)
 
 
 def indep_threshold(
@@ -87,19 +88,20 @@ def indep_threshold(
     when P(B|A) and P(B|not A) land on opposite sides of it.  Raises
     DegenerateConditional when P(A) or P(not A) is zero.
     """
-    A = member_set(p, a)
-    B = member_set(p, b)
+    A = p.mask_of(a)
+    B = p.mask_of(b)
     if not A or not B:
         raise EmptyInput("independence needs nonempty sets")
-    neg_a = neg_set(p, A, Variant.RAW)
+    neg_a = p.orth_mask(A)  # down-closed, like every negation
     p_a = _prob(p, A, kind)
     p_neg_a = _prob(p, neg_a, kind)
     if p_a == 0 or p_neg_a == 0:
         raise DegenerateConditional("conditioning probability is zero")
     if alpha is None:
         alpha = _prob(p, B, kind)
-    given_a = _prob(p, set_meet(p, A, B, Variant.RAW), kind) / p_a
-    given_neg_a = _prob(p, set_meet(p, neg_a, B, Variant.RAW), kind) / p_neg_a
+    down_b = p.down_closure(B)
+    given_a = _prob(p, p.down_closure(A) & down_b, kind) / p_a
+    given_neg_a = _prob(p, neg_a & down_b, kind) / p_neg_a
     if given_a == alpha:
         return True
     if given_a < alpha:

@@ -16,19 +16,10 @@ their failures are pinned by tests.
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput
-from .poset import (
-    ElemSet,
-    Extreme,
-    HtExtreme,
-    Poset,
-    extremes,
-    extremes_by_height,
-    member_set,
-)
+from .poset import ElemSet, Poset, member_set
 
 
 class Variant(Enum):
@@ -49,40 +40,34 @@ class AltKind(Enum):
     UNION_BASED = "union"
 
 
-def _refine_lower(p: Poset, s: ElemSet, v: Variant) -> ElemSet:
-    if v is Variant.RAW:
-        return s
+def _refine_lower(p: Poset, raw: int, v: Variant) -> ElemSet:
     if v is Variant.PRIME:
-        return extremes(p, s, Extreme.MAX)
-    return extremes_by_height(p, s, HtExtreme.MAXHT)
+        raw = p.maxima(raw)
+    elif v is Variant.HT_PRIME:
+        raw = p.height_extremes(raw, highest=True)
+    return p.labels_of(raw)
 
 
-def _refine_upper(p: Poset, s: ElemSet, v: Variant) -> ElemSet:
-    if v is Variant.RAW:
-        return s
+def _refine_upper(p: Poset, raw: int, v: Variant) -> ElemSet:
     if v is Variant.PRIME:
-        return extremes(p, s, Extreme.MIN)
-    return extremes_by_height(p, s, HtExtreme.MINHT)
+        raw = p.minima(raw)
+    elif v is Variant.HT_PRIME:
+        raw = p.height_extremes(raw, highest=False)
+    return p.labels_of(raw)
 
 
 def meet_all(p: Poset, xs: Sequence[str], v: Variant = Variant.RAW) -> ElemSet:
     """Common lower bounds of all the given elements (never empty: contains bottom)."""
     if not xs:
         raise EmptyInput("meet over no elements")
-    for x in xs:
-        p.require(x)
-    raw = reduce(frozenset.__and__, (p.downset(x) for x in xs))
-    return _refine_lower(p, raw, v)
+    return _refine_lower(p, p.lower_bounds(p.mask_of(xs)), v)
 
 
 def join_all(p: Poset, xs: Sequence[str], v: Variant = Variant.RAW) -> ElemSet:
     """Common upper bounds of all the given elements (never empty: contains top)."""
     if not xs:
         raise EmptyInput("join over no elements")
-    for x in xs:
-        p.require(x)
-    raw = reduce(frozenset.__and__, (p.upset(x) for x in xs))
-    return _refine_upper(p, raw, v)
+    return _refine_upper(p, p.upper_bounds(p.mask_of(xs)), v)
 
 
 def neg_set(p: Poset, members: Iterable[str], v: Variant = Variant.RAW) -> ElemSet:
@@ -90,77 +75,68 @@ def neg_set(p: Poset, members: Iterable[str], v: Variant = Variant.RAW) -> ElemS
     X = member_set(p, members)
     if not X:
         raise EmptyInput("negation of the empty set")
-    raw = reduce(frozenset.__and__, (p.orth_of(x) for x in X))
-    return _refine_lower(p, raw, v)
+    raw = frozenset.intersection(*map(p.orth_of, X))
+    return raw if v is Variant.RAW else _refine_lower(p, p.mask_of(raw), v)
 
 
 def minus(p: Poset, x: str, y: str, v: Variant = Variant.RAW) -> ElemSet:
     """Direct difference: everything at or below x and orthogonal to y."""
-    p.require(x)
-    p.require(y)
-    raw = p.downset(x) & p.orth_of(y)
+    raw = p.down_closure(p.mask_of((x,))) & p.orth_mask(p.mask_of((y,)))
     return _refine_lower(p, raw, v)
 
 
 def set_meet(p: Poset, xs: Iterable[str], ys: Iterable[str], v: Variant = Variant.RAW) -> ElemSet:
-    """Union of the pairwise meets, then refined."""
-    X = member_set(p, xs)
-    Y = member_set(p, ys)
+    """Union of the pairwise meets, then refined.
+
+    The union of the pairwise intersections of down-sets is the
+    intersection of the two down-closures, so no pair loop is needed.
+    """
+    X = p.mask_of(xs)
+    Y = p.mask_of(ys)
     if not X or not Y:
         raise EmptyInput("set_meet needs nonempty sets")
-    raw: set[str] = set()
-    for x in X:
-        dx = p.downset(x)
-        for y in Y:
-            raw |= dx & p.downset(y)
-    return _refine_lower(p, frozenset(raw), v)
+    return _refine_lower(p, p.down_closure(X) & p.down_closure(Y), v)
 
 
 def set_join(p: Poset, xs: Iterable[str], ys: Iterable[str], v: Variant = Variant.RAW) -> ElemSet:
-    """Union of the pairwise joins, then refined."""
-    X = member_set(p, xs)
-    Y = member_set(p, ys)
+    """Union of the pairwise joins, then refined (dual of set_meet)."""
+    X = p.mask_of(xs)
+    Y = p.mask_of(ys)
     if not X or not Y:
         raise EmptyInput("set_join needs nonempty sets")
-    raw: set[str] = set()
-    for x in X:
-        ux = p.upset(x)
-        for y in Y:
-            raw |= ux & p.upset(y)
-    return _refine_upper(p, frozenset(raw), v)
+    return _refine_upper(p, p.up_closure(X) & p.up_closure(Y), v)
 
 
 def set_minus(p: Poset, xs: Iterable[str], ys: Iterable[str], v: Variant = Variant.RAW) -> ElemSet:
     """Abbreviation: X meet (negation of Y)."""
-    X = member_set(p, xs)
-    Y = member_set(p, ys)
+    X = p.mask_of(xs)
+    Y = p.mask_of(ys)
     if not X or not Y:
         raise EmptyInput("set_minus needs nonempty sets")
-    return set_meet(p, X, neg_set(p, Y, Variant.RAW), v)
+    # A negation is already down-closed: below an orthogonal element, all are.
+    return _refine_lower(p, p.down_closure(X) & p.orth_mask(Y), v)
 
 
 def alt_meet(p: Poset, xs: Iterable[str], ys: Iterable[str], kind: AltKind) -> ElemSet:
-    """Rejected alternatives: intersect the pairwise meets, or meet over the union."""
-    X = member_set(p, xs)
-    Y = member_set(p, ys)
+    """Rejected alternatives: intersect the pairwise meets, or meet over the union.
+
+    Both readings give the common lower bounds of X together with Y, so
+    ``kind`` only names the reading.
+    """
+    X = p.mask_of(xs)
+    Y = p.mask_of(ys)
     if not X or not Y:
         raise EmptyInput("alt_meet needs nonempty sets")
-    if kind is AltKind.PAIRWISE:
-        parts = [p.downset(x) & p.downset(y) for x in X for y in Y]
-        return reduce(frozenset.__and__, parts)
-    return meet_all(p, sorted(X | Y), Variant.RAW)
+    return p.labels_of(p.lower_bounds(X | Y))
 
 
 def alt_join(p: Poset, xs: Iterable[str], ys: Iterable[str], kind: AltKind) -> ElemSet:
     """Dual of alt_meet."""
-    X = member_set(p, xs)
-    Y = member_set(p, ys)
+    X = p.mask_of(xs)
+    Y = p.mask_of(ys)
     if not X or not Y:
         raise EmptyInput("alt_join needs nonempty sets")
-    if kind is AltKind.PAIRWISE:
-        parts = [p.upset(x) & p.upset(y) for x in X for y in Y]
-        return reduce(frozenset.__and__, parts)
-    return join_all(p, sorted(X | Y), Variant.RAW)
+    return p.labels_of(p.upper_bounds(X | Y))
 
 
 def alt_neg1(p: Poset, members: Iterable[str]) -> ElemSet:
@@ -168,4 +144,4 @@ def alt_neg1(p: Poset, members: Iterable[str]) -> ElemSet:
     X = member_set(p, members)
     if not X:
         raise EmptyInput("alt_neg1 of the empty set")
-    return reduce(frozenset.__or__, (p.orth_of(x) for x in X))
+    return frozenset.union(*map(p.orth_of, X))

@@ -3,7 +3,8 @@
 The naive evaluator re-derives every operator from its defining
 comprehension: reachability is recomputed per query by depth-first
 search over the raw generator edges, heights by a fresh longest-path
-recursion, and the min/max/height filters by direct quantifier scans.
+search memoised within one query, and the min/max/height filters by
+direct quantifier scans.
 It shares no closure caches with the main path, which is the point.
 
 ``differential_check`` fires seeded random queries at both paths and
@@ -155,14 +156,25 @@ class _NaiveOrder:
         )
 
     def ht(self, v: str) -> int:
-        if v in self._ht:
-            return self._ht[v]
-        if v == self.bottom:
-            h = 0
-        else:
-            h = 1 + max(self.ht(u) for u in self.pred[v])
-        self._ht[v] = h
-        return h
+        """Longest path up from bottom, memoised for this query only.
+
+        Iterative, so chains of any length stay within the recursion limit.
+        """
+        memo = self._ht
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+            elif u == self.bottom:
+                memo[u] = 0
+            else:
+                todo = [w for w in self.pred[u] if w not in memo]
+                if todo:
+                    stack.extend(todo)
+                else:
+                    memo[u] = 1 + max(memo[w] for w in self.pred[u])
+        return memo[v]
 
     def maxima(self, xs) -> ElemSet:
         return frozenset(x for x in xs if not any(self.lt(x, y) for y in xs))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import EmptyInput
 from .ops import Variant, join_all, meet_all, neg_set
@@ -55,10 +54,6 @@ def signed_neg_of(p: Poset, x: str) -> SignedSet:
     return SignedSet(Sign.SUP, neg_set(p, frozenset((x,)), Variant.PRIME))
 
 
-def _carrier(p: Poset, s: SignedSet) -> ElemSet:
-    return member_set(p, s.carrier)
-
-
 def signed_meet(p: Poset, y: str, s: SignedSet) -> ElemSet:
     """Meet of an element with a signed set.
 
@@ -67,27 +62,26 @@ def signed_meet(p: Poset, y: str, s: SignedSet) -> ElemSet:
     them (the intended element sits below each).
     """
     p.require(y)
-    carrier = _carrier(p, s)
-    dy = p.downset(y)
+    carrier = p.mask_of(s.carrier)
+    y_bit = p.mask_of((y,))
     if s.sign is Sign.SUP:
-        return frozenset(z for z in dy if any(p.leq(z, c) for c in carrier))
-    return frozenset(z for z in dy if all(p.leq(z, c) for c in carrier))
+        return p.labels_of(p.down_closure(y_bit) & p.down_closure(carrier))
+    return p.labels_of(p.lower_bounds(y_bit | carrier))
 
 
 def signed_join(p: Poset, y: str, s: SignedSet) -> ElemSet:
     """Join of an element with a signed set (dual of signed_meet)."""
     p.require(y)
-    carrier = _carrier(p, s)
-    uy = p.upset(y)
+    carrier = p.mask_of(s.carrier)
+    y_bit = p.mask_of((y,))
     if s.sign is Sign.SUP:
-        return frozenset(z for z in uy if all(p.leq(c, z) for c in carrier))
-    return frozenset(z for z in uy if any(p.leq(c, z) for c in carrier))
+        return p.labels_of(p.upper_bounds(y_bit | carrier))
+    return p.labels_of(p.up_closure(y_bit) & p.up_closure(carrier))
 
 
 def signed_neg(p: Poset, s: SignedSet) -> ElemSet:
     """Negation of a signed set: orthogonal to all (sup) or some (inf) carrier member."""
-    carrier = _carrier(p, s)
-    sets = [p.orth_of(c) for c in carrier]
+    sets = map(p.orth_of, member_set(p, s.carrier))
     if s.sign is Sign.SUP:
         return frozenset.intersection(*sets)
     return frozenset.union(*sets)
@@ -101,8 +95,7 @@ def signed_height(p: Poset, s: SignedSet) -> int:
     carrier containing bottom) or exceed the top's height (sup over a
     carrier containing top); callers that care flag it.
     """
-    carrier = _carrier(p, s)
-    heights = [p.height_of[c] for c in carrier]
+    heights = p.heights_in(p.mask_of(s.carrier))
     if s.sign is Sign.SUP:
         return max(heights) + 1
     return min(heights) - 1

@@ -38,6 +38,14 @@ class TestFixtureAndValidate:
         status, out = run_command(["validate", "/no/such/file"])
         assert status == 1 and out.startswith("error:")
 
+    def test_non_utf8_file_is_a_diagnostic(self, tmp_path):
+        path = tmp_path / "bad.poset"
+        path.write_bytes(b"poset t\nelem a\n\xff\xfe\n")
+        status, out = run_command(["validate", str(path)])
+        assert status == 1
+        assert out.startswith("error: line 3, col 1: ") and "not UTF-8" in out
+        assert "\n" not in out
+
 
 class TestEval:
     def test_signed_join_output(self):
@@ -108,6 +116,15 @@ class TestCheck:
         assert status == 1
         assert "differential: FAILED" in out
         assert "mismatch" in out
+
+
+    @pytest.mark.parametrize("cases", ["-5", "0"])
+    def test_non_positive_case_count_is_usage(self, cases):
+        text = fixture_text("v1")
+        status, out = run_command(["check", "-", "--cases", cases], stdin_text=text)
+        assert status == 2
+        assert out.startswith("usage:")
+        assert out.endswith(f"argument --cases: must be a positive integer, got {int(cases)}")
 
 
 class TestDot:

@@ -12,6 +12,7 @@ from ordbool import (
     law_check,
     lattice_oracle_check,
     naive_eval,
+    build_poset,
     builtin_fixture,
     random_poset,
     run_query,
@@ -40,6 +41,12 @@ class TestNaiveAgreement:
         for x in pprime.elems:
             q = Query("prob_sum", (fs(x),))
             assert run_query(pprime, q) == naive_eval(pprime, q)
+
+    def test_height_of_a_long_chain(self):
+        labels = [f"c{i}" for i in range(1500)]
+        p = build_poset("chain", labels, list(zip(labels, labels[1:])))
+        q = Query("ht_of_set", (fs("c1499"),))
+        assert naive_eval(p, q) == run_query(p, q) == 1500
 
     def test_error_taxonomy_matches(self, v1):
         from ordbool import MeasureKind

@@ -125,6 +125,12 @@ class TestOrderRel:
         with pytest.raises(UnknownLabel):
             order_rel(v1, "a", "zzz")
 
+    def test_nothing_unknown_lies_above(self, v1):
+        # The unchecked predicates answer False for a stranger on the right.
+        assert not v1.lt("a", "zzz")
+        assert not v1.leq("a", "zzz")
+        assert not v1.lt(v1.bottom, "zzz")
+
 
 class TestOrthogonal:
     def test_incomparable_atoms_are_orthogonal(self, v1):
